@@ -121,11 +121,17 @@ fn tokenize(line: &str) -> Result<Vec<Tok>, String> {
     Ok(out)
 }
 
+/// How deeply `(`, `!` and unary `-` may nest in one expression. The parser
+/// recurses once per level, so a deeper input is an error, not a stack
+/// overflow.
+const MAX_NESTING: usize = 256;
+
 /// Expression parser (precedence climbing) over the atom's variable names.
 struct ExprParser<'a> {
     toks: &'a [Tok],
     pos: usize,
     vars: &'a HashMap<String, u32>,
+    depth: usize,
 }
 
 impl<'a> ExprParser<'a> {
@@ -152,6 +158,19 @@ impl<'a> ExprParser<'a> {
 
     fn parse(&mut self) -> Result<Expr, String> {
         self.or_expr()
+    }
+
+    /// Run `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Expr, String>) -> Result<Expr, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "expression nested deeper than {MAX_NESTING} levels"
+            ));
+        }
+        self.depth += 1;
+        let e = f(self);
+        self.depth -= 1;
+        e
     }
 
     fn or_expr(&mut self) -> Result<Expr, String> {
@@ -218,10 +237,10 @@ impl<'a> ExprParser<'a> {
 
     fn unary_expr(&mut self) -> Result<Expr, String> {
         if self.eat_sym("!") {
-            return Ok(self.unary_expr()?.not());
+            return Ok(self.nested(Self::unary_expr)?.not());
         }
         if self.eat_sym("-") {
-            return Ok(self.unary_expr()?.neg());
+            return Ok(self.nested(Self::unary_expr)?.neg());
         }
         match self.next() {
             Some(Tok::Int(v)) => Ok(Expr::int(v)),
@@ -230,7 +249,7 @@ impl<'a> ExprParser<'a> {
                 None => Err(format!("unknown variable {name:?}")),
             },
             Some(Tok::Sym(s)) if s == "(" => {
-                let e = self.parse()?;
+                let e = self.nested(Self::parse)?;
                 if !self.eat_sym(")") {
                     return Err("expected ')'".to_string());
                 }
@@ -242,7 +261,12 @@ impl<'a> ExprParser<'a> {
 }
 
 fn parse_expr(toks: &[Tok], vars: &HashMap<String, u32>) -> Result<Expr, String> {
-    let mut p = ExprParser { toks, pos: 0, vars };
+    let mut p = ExprParser {
+        toks,
+        pos: 0,
+        vars,
+        depth: 0,
+    };
     let e = p.parse()?;
     if p.pos != toks.len() {
         return Err(format!(
@@ -680,6 +704,29 @@ system {
     fn unknown_connector_in_priority_rejected() {
         let src = "atom A {\n port p\n location l init\n on p from l to l\n}\nsystem {\n instance a : A\n connector c = a.p\n priority c < ghost\n}\n";
         assert!(parse_system(src).is_err());
+    }
+
+    /// A guard nested 100k deep is a parse error, not a stack overflow;
+    /// nesting up to the limit still parses.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let model = |guard: &str| {
+            format!(
+                "atom A {{\n port p\n location l init\n on p from l to l when {guard}\n}}\n\
+                 system {{\n instance a : A\n connector c = a.p\n}}\n"
+            )
+        };
+        let n = 100_000;
+        let parens = format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        for guard in [parens, format!("{}1", "!".repeat(n))] {
+            let e = parse_system(&model(&guard)).unwrap_err();
+            assert_eq!(e.line, 4, "{e}");
+            assert!(e.message.contains("nested deeper"), "{e}");
+        }
+        let ok = format!("{}1{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert!(parse_system(&model(&ok)).is_ok());
+        let ok = format!("{}1", "-!".repeat(MAX_NESTING / 2));
+        assert!(parse_system(&model(&ok)).is_ok());
     }
 
     #[test]

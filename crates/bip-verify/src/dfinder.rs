@@ -308,162 +308,160 @@ impl LinearInvariant {
             .map(|&(p, a)| if marked(p) { a } else { 0 })
             .sum()
     }
+
+    /// Check the invariant by direct evaluation: `value` is the left-hand
+    /// side on the `initial` marking, and no transition `(pre, post)`
+    /// changes the left-hand side (places may repeat, counting tokens).
+    /// Arithmetic is checked; an overflow fails the check.
+    pub fn holds(&self, initial: &[Place], transitions: &[(Vec<Place>, Vec<Place>)]) -> bool {
+        let coeff = |p: &Place| self.coeffs.iter().find(|e| e.0 == *p).map_or(0, |e| e.1);
+        let sum = |ps: &[Place]| ps.iter().try_fold(0i64, |s, p| s.checked_add(coeff(p)));
+        sum(initial) == Some(self.value)
+            && transitions
+                .iter()
+                .all(|(pre, post)| matches!((sum(pre), sum(post)), (Some(a), Some(b)) if a == b))
+    }
 }
 
-/// Exact rational for Gaussian elimination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Rat {
-    n: i128,
-    d: i128, // > 0
+/// A sparse integer row: `(place, coefficient)` pairs in place order, no
+/// zero coefficients, every |coefficient| ≤ `i64::MAX`.
+type Row = Vec<(Place, i64)>;
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
-impl Rat {
-    const ZERO: Rat = Rat { n: 0, d: 1 };
+/// Sort `entries`, add up repeated places, drop zeros and divide by the
+/// gcd of what is left; `None` if a coefficient does not fit in a [`Row`].
+fn primitive(mut entries: Vec<(Place, i128)>) -> Option<Row> {
+    entries.sort_unstable();
+    entries.dedup_by(|next, kept| {
+        next.0 == kept.0 && {
+            kept.1 += next.1;
+            true
+        }
+    });
+    entries.retain(|e| e.1 != 0);
+    let g = entries.iter().fold(0, |g, e| gcd(g, e.1.unsigned_abs())) as i128;
+    let fit = |v: i128| (v.unsigned_abs() <= i64::MAX as u128).then_some(v as i64);
+    entries.iter().map(|e| Some((e.0, fit(e.1 / g)?))).collect()
+}
 
-    fn new(n: i128, d: i128) -> Rat {
-        debug_assert!(d != 0);
-        let g = gcd(n.unsigned_abs(), d.unsigned_abs()) as i128;
-        let s = if d < 0 { -1 } else { 1 };
-        Rat {
-            n: s * n / g,
-            d: s * d / g,
+/// Cancel `row`'s entry `f` in the column where `pivot` leads with `p`:
+/// `row := (p/g)·row − (f/g)·pivot` for `g = ±gcd(p, f)` of the sign of
+/// `p`, made primitive. Products of two [`Row`] entries, and sums of two
+/// such products, fit in `i128`; `None` if the result does not fit a row.
+fn eliminate(row: &[(Place, i64)], pivot: &[(Place, i64)], f: i64) -> Option<Row> {
+    let p = pivot[0].1;
+    let g = gcd(p.unsigned_abs().into(), f.unsigned_abs().into()) as i128 * i128::from(p.signum());
+    let (a, b) = (i128::from(p) / g, i128::from(f) / g);
+    let mut sum: Vec<_> = row.iter().map(|&(c, x)| (c, a * i128::from(x))).collect();
+    sum.extend(pivot.iter().map(|&(c, y)| (c, -b * i128::from(y))));
+    primitive(sum)
+}
+
+/// The primitive integer vector `y` with `y[free] > 0` and
+/// `y[c] = −(R[c][free] / R[c][c])·y[free]` for each row `R[c]` of
+/// `pivots` (leading in column `c`); `None` if it does not fit in `i64`.
+fn basis_vector(free: Place, pivots: &[Row]) -> Option<Row> {
+    let at = |r: &Row| Some((r[0], r[r.binary_search_by_key(&free, |e| e.0).ok()?].1));
+    let fracs: Vec<_> = pivots.iter().filter_map(at).collect();
+    let l = fracs.iter().try_fold(1i128, |l, &((_, p), _)| {
+        let p = u128::from(p.unsigned_abs());
+        (l / gcd(l as u128, p) as i128).checked_mul(p as i128)
+    })?;
+    let mut y = vec![(free, l)];
+    for &((c, p), v) in &fracs {
+        y.push((c, (l / i128::from(p)).checked_mul(-i128::from(v))?));
+    }
+    primitive(y)
+}
+
+/// The reduced row echelon form of the distinct transition effects
+/// (post − pre), one primitive row per pivot column, in column order;
+/// `None` if an entry outgrows `i64`.
+fn reduced_echelon(abs: &Abstraction) -> Option<Vec<Row>> {
+    // Distinct non-zero effect rows, bucketed by leading column.
+    let mut by_lead: Vec<Vec<Row>> = vec![Vec::new(); abs.num_places];
+    let mut seen = FxHashSet::default();
+    for (pre, post) in &abs.transitions {
+        let mut effect: Vec<_> = pre.iter().map(|&p| (p, -1)).collect();
+        effect.extend(post.iter().map(|&q| (q, 1)));
+        let row = primitive(effect)?;
+        if !row.is_empty() && seen.insert(row.clone()) {
+            by_lead[row[0].0].push(row);
         }
     }
-
-    fn from_int(n: i128) -> Rat {
-        Rat { n, d: 1 }
+    // Forward: every row in `by_lead[c]` leads in column `c`; the sparsest
+    // is that column's pivot, and the others are reduced by it.
+    let mut pivots: Vec<Row> = Vec::new();
+    for c in 0..abs.num_places {
+        let mut cands = std::mem::take(&mut by_lead[c]);
+        let Some(best) = (0..cands.len()).min_by_key(|&i| cands[i].len()) else {
+            continue;
+        };
+        let pivot = cands.swap_remove(best);
+        for row in cands {
+            let row = eliminate(&row, &pivot, row[0].1)?;
+            if let Some(&(lead, _)) = row.first() {
+                by_lead[lead].push(row);
+            }
+        }
+        pivots.push(pivot);
     }
-
-    fn is_zero(self) -> bool {
-        self.n == 0
+    // Back, last pivot first: clear every later pivot's column.
+    for i in (0..pivots.len()).rev() {
+        for j in i + 1..pivots.len() {
+            if let Ok(k) = pivots[i].binary_search_by_key(&pivots[j][0].0, |e| e.0) {
+                pivots[i] = eliminate(&pivots[i], &pivots[j], pivots[i][k].1)?;
+            }
+        }
     }
-
-    fn sub(self, o: Rat) -> Rat {
-        Rat::new(self.n * o.d - o.n * self.d, self.d * o.d)
-    }
-
-    fn mul(self, o: Rat) -> Rat {
-        Rat::new(self.n * o.n, self.d * o.d)
-    }
-
-    fn div(self, o: Rat) -> Rat {
-        Rat::new(self.n * o.d, self.d * o.n)
-    }
-}
-
-fn gcd(a: u128, b: u128) -> u128 {
-    if b == 0 {
-        a.max(1)
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: i128, b: i128) -> i128 {
-    (a / gcd(a.unsigned_abs(), b.unsigned_abs()) as i128) * b
+    Some(pivots)
 }
 
 /// Compute linear invariants from the left null space of the incidence
-/// matrix. Vectors are scaled to primitive integers; only invariants with
-/// all |coefficients| ≤ `max_coeff` and support ≤ `max_support` are kept
-/// (larger ones are too expensive to encode propositionally).
+/// matrix.
+///
+/// The basis is the canonical one: each free column `f` of the reduced row
+/// echelon form `R` of the transition effects (columns in place order)
+/// gives `y[f] = 1`, `y[c] = −R[c][f]` for each pivot column `c`, scaled
+/// to a primitive integer vector. `R` is unique, so the list depends on
+/// neither the order of the transitions nor that of the elimination steps
+/// (sparse and fraction-free: `row := (p/g)·row − (f/g)·pivot`, then
+/// divided by its gcd). Only invariants with all |coefficients| ≤
+/// `max_coeff` and support ≤ `max_support` are kept (larger ones are too
+/// expensive to encode propositionally).
+///
+/// Fails closed: if the elimination outgrows `i64`, no invariants are
+/// returned; a basis vector with a coefficient outside `i64` is skipped;
+/// and if any vector fails [`LinearInvariant::holds`] on the net, none are
+/// returned. Fewer invariants weaken the interaction invariant but never
+/// make a verdict wrong.
 pub fn linear_invariants(
     abs: &Abstraction,
     max_coeff: i64,
     max_support: usize,
 ) -> Vec<LinearInvariant> {
-    // Deduplicate transitions and build effect rows.
-    let mut rows: Vec<Vec<Rat>> = Vec::new();
-    let mut seen = FxHashSet::default();
-    for (pre, post) in &abs.transitions {
-        let key = (pre.clone(), post.clone());
-        if !seen.insert(key) {
-            continue;
-        }
-        let mut row = vec![Rat::ZERO; abs.num_places];
-        for &p in pre {
-            row[p] = row[p].sub(Rat::from_int(1));
-        }
-        for &q in post {
-            row[q] = row[q].sub(Rat::from_int(-1));
-        }
-        if row.iter().any(|r| !r.is_zero()) {
-            rows.push(row);
-        }
-    }
-    // Gaussian elimination to row echelon form; record pivot columns.
-    let ncols = abs.num_places;
-    let mut pivot_col_of_row = Vec::new();
-    let mut r = 0usize;
-    for c in 0..ncols {
-        // Find a pivot.
-        let Some(pr) = (r..rows.len()).find(|&i| !rows[i][c].is_zero()) else {
-            continue;
-        };
-        rows.swap(r, pr);
-        let piv = rows[r][c];
-        for x in rows[r].iter_mut() {
-            *x = x.div(piv);
-        }
-        let pivot_row = rows[r].clone();
-        for (i, row) in rows.iter_mut().enumerate() {
-            if i != r && !row[c].is_zero() {
-                let f = row[c];
-                for (x, pv) in row.iter_mut().zip(&pivot_row) {
-                    *x = x.sub(f.mul(*pv));
-                }
-            }
-        }
-        pivot_col_of_row.push(c);
-        r += 1;
-        if r == rows.len() {
-            break;
-        }
-    }
-    let pivot_cols: FxHashSet<usize> = pivot_col_of_row.iter().copied().collect();
-    let initial: FxHashSet<Place> = abs.initial.iter().copied().collect();
-    // Each free column yields a null-space basis vector.
-    let mut out = Vec::new();
-    for free in 0..ncols {
-        if pivot_cols.contains(&free) {
-            continue;
-        }
-        // y[free] = 1; y[pivot c of row i] = -rows[i][free].
-        let mut y = vec![Rat::ZERO; ncols];
-        y[free] = Rat::from_int(1);
-        for (i, &pc) in pivot_col_of_row.iter().enumerate() {
-            y[pc] = Rat::ZERO.sub(rows[i][free]);
-        }
-        // Scale to primitive integer vector.
-        let mut denom: i128 = 1;
-        for v in &y {
-            if !v.is_zero() {
-                denom = lcm(denom, v.d);
-            }
-        }
-        let ints: Vec<i128> = y.iter().map(|v| v.n * (denom / v.d)).collect();
-        let g = ints
-            .iter()
-            .filter(|&&v| v != 0)
-            .fold(0u128, |acc, &v| gcd(acc, v.unsigned_abs()))
-            .max(1) as i128;
-        let coeffs: Vec<(Place, i64)> = ints
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0)
-            .map(|(p, &v)| (p, (v / g) as i64))
-            .collect();
-        if coeffs.is_empty()
-            || coeffs.len() > max_support
-            || coeffs.iter().any(|&(_, a)| a.abs() > max_coeff)
-        {
-            continue;
-        }
-        let value: i64 = coeffs
-            .iter()
-            .map(|&(p, a)| if initial.contains(&p) { a } else { 0 })
-            .sum();
-        out.push(LinearInvariant { coeffs, value });
+    let Some(pivots) = reduced_echelon(abs) else {
+        return Vec::new();
+    };
+    let mut out: Vec<LinearInvariant> = (0..abs.num_places)
+        .filter(|&f| pivots.binary_search_by_key(&f, |r| r[0].0).is_err())
+        .filter_map(|f| basis_vector(f, &pivots))
+        .filter(|y| y.len() <= max_support && y.iter().all(|e| e.1.abs() <= max_coeff))
+        .filter_map(|coeffs| {
+            let marked = coeffs.iter().filter(|e| abs.initial.contains(&e.0));
+            let value = marked.map(|e| e.1).try_fold(0, i64::checked_add)?;
+            Some(LinearInvariant { coeffs, value })
+        })
+        .collect();
+    // Checked by direct evaluation, sharing no code with the elimination.
+    if !out.iter().all(|i| i.holds(&abs.initial, &abs.transitions)) {
+        out.clear();
     }
     out
 }
@@ -1370,6 +1368,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A net where `p_i` turns into two tokens on `p_{i+1}`: its only
+    /// invariant is `Σ 2^(n−1−i)·p_i`.
+    fn doubling_chain(n: usize) -> Abstraction {
+        let transitions: Vec<_> = (0..n - 1).map(|i| (vec![i], vec![i + 1, i + 1])).collect();
+        Abstraction {
+            place_base: vec![0],
+            num_places: n,
+            packed: pack_transitions(n, &transitions),
+            transitions,
+            initial: vec![0],
+            reachable: vec![true; n],
+            interactions: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn doubling_chain_fails_closed_on_overflow() {
+        // Coefficients up to 2^40: found exactly.
+        let abs = doubling_chain(41);
+        let coeffs: Vec<(Place, i64)> = (0..41).map(|i| (i, 1 << (40 - i))).collect();
+        let expected = LinearInvariant {
+            coeffs,
+            value: 1 << 40,
+        };
+        assert_eq!(linear_invariants(&abs, i64::MAX, usize::MAX), [expected]);
+        // Coefficients up to 2^139 fit no machine integer: no panic and no
+        // wrapped "invariant", just none.
+        let abs = doubling_chain(140);
+        let invs = linear_invariants(&abs, i64::MAX, usize::MAX);
+        assert!(invs
+            .iter()
+            .all(|inv| inv.holds(&abs.initial, &abs.transitions)));
+        assert!(invs.is_empty(), "{invs:?}");
+    }
+
+    #[test]
+    fn holds_rejects_non_invariants() {
+        let abs = doubling_chain(3);
+        let check = |coeffs: Vec<(Place, i64)>, value| {
+            LinearInvariant { coeffs, value }.holds(&abs.initial, &abs.transitions)
+        };
+        assert!(check(vec![(0, 4), (1, 2), (2, 1)], 4));
+        assert!(!check(vec![(0, 4), (1, 2), (2, 1)], 3), "wrong value");
+        assert!(!check(vec![(0, 1), (1, 1)], 1), "p0 -> 2 p1 adds one");
+        assert!(!check(vec![(1, i64::MAX), (2, 1)], 0), "overflow fails");
     }
 
     #[test]

@@ -193,17 +193,15 @@ impl IncrementalVerifier {
         // the added transition effects; violated ones are dropped and the
         // (cheap) null-space computation refreshes the set. The abstraction
         // is 1-safe, so membership is multiplicity.
-        let still_valid = self.linear.iter().all(|inv| {
-            added.iter().all(|(pre, post)| {
-                let delta: i64 = inv
-                    .coeffs
-                    .iter()
-                    .map(|&(p, a)| a * (post.contains(p) as i64 - pre.contains(p) as i64))
-                    .sum();
-                delta == 0
-            })
-        });
-        if !still_valid {
+        let added: Vec<(Vec<usize>, Vec<usize>)> = added
+            .iter()
+            .map(|(pre, post)| (pre.iter().collect(), post.iter().collect()))
+            .collect();
+        if !self
+            .linear
+            .iter()
+            .all(|inv| inv.holds(&new_abs.initial, &added))
+        {
             self.linear = linear_invariants(
                 &new_abs,
                 DFinder::DEFAULT_MAX_COEFF,

@@ -3,6 +3,8 @@
 
 use bip_core::{AtomBuilder, ConnectorBuilder, Expr, SystemBuilder};
 
+pub mod linear_oracle;
+
 /// How a generated variable behaves across transitions.
 #[derive(Debug, Clone, Copy)]
 enum VarStyle {

@@ -2,8 +2,13 @@
 //! verification agree, and the cost gap has the claimed shape.
 
 use bip_core::dining_philosophers;
+use bip_verify::dfinder::{linear_invariants, Abstraction};
 use bip_verify::reach::explore;
 use bip_verify::DFinder;
+use proptest::prelude::*;
+
+mod common;
+use common::{linear_oracle, random_system};
 
 #[test]
 fn verdicts_agree_with_exact_checker_across_family() {
@@ -78,5 +83,47 @@ fn gas_station_benchmark() {
         assert!(exact.complete);
         assert!(exact.deadlocks.is_empty());
         assert!(df.verdict.is_deadlock_free(), "k={k}: {df:?}");
+    }
+}
+
+/// The sparse fraction-free `linear_invariants` returns exactly the dense
+/// rational oracle's list — order of invariants and of coefficients
+/// included — under the default filters and unbounded ones.
+fn assert_linear_matches_oracle(sys: &bip_core::System, what: &str) {
+    let abs = Abstraction::new(sys);
+    for (max_coeff, max_support) in [
+        (DFinder::DEFAULT_MAX_COEFF, DFinder::DEFAULT_MAX_SUPPORT),
+        (i64::MAX, usize::MAX),
+    ] {
+        assert_eq!(
+            linear_invariants(&abs, max_coeff, max_support),
+            linear_oracle::linear_invariants(&abs, max_coeff, max_support),
+            "{what}, max_coeff={max_coeff}, max_support={max_support}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn linear_invariants_match_dense_oracle_on_random_systems(seed in 0u64..3000) {
+        assert_linear_matches_oracle(&random_system(seed), &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn linear_invariants_match_dense_oracle_on_families() {
+    for k in 2..=40 {
+        assert_linear_matches_oracle(&bench::gas_station(k), &format!("gas-{k}"));
+    }
+    for n in 2..=16 {
+        for two_phase in [false, true] {
+            let sys = dining_philosophers(n, two_phase).unwrap();
+            assert_linear_matches_oracle(&sys, &format!("phil-{n} two_phase={two_phase}"));
+        }
+    }
+    for n in 2..=8 {
+        assert_linear_matches_oracle(&bench::counter_ring(n, 3), &format!("cring-{n}"));
     }
 }
