@@ -706,10 +706,10 @@ impl System {
     /// [`SuccStep`] descriptor (materialize it with [`SuccStep::to_step`]
     /// only when a trace needs it).
     ///
-    /// Successors are visited in exactly the order
-    /// [`System::successors_into`] produces them: connectors ascending,
-    /// masks ascending, local-transition combinations with the first
-    /// participant varying fastest, then internal steps. `es` is refreshed
+    /// Successors are visited in exactly the order the legacy
+    /// [`System::successors`] produces them: connectors ascending, masks
+    /// ascending, local-transition combinations with the first participant
+    /// varying fastest, then internal steps. `es` is refreshed
     /// for `st` as a side effect (callers exploring arbitrary states should
     /// `invalidate_all` first).
     pub fn for_each_successor<F>(
@@ -864,41 +864,18 @@ impl System {
     }
 
     /// All semantic steps from `st` with successor states, written into
-    /// `out` — the buffer-reusing form of [`System::successors`] used by the
-    /// model checker. `es` is refreshed for `st` as a side effect (callers
+    /// `out` — [`System::for_each_successor`] collected into owned
+    /// `(Step, State)` pairs, the buffer-reusing form of
+    /// [`System::successors`]. `es` is refreshed for `st` as a side effect (callers
     /// exploring arbitrary states should `invalidate_all` first; callers
     /// walking a trajectory can rely on [`System::fire_enabled`]'s precise
     /// dirtying).
     pub fn successors_into(&self, st: &State, es: &mut EnabledSet, out: &mut Vec<(Step, State)>) {
         out.clear();
-        self.refresh_enabled(st, es);
-        let filtering = !self.priority.is_empty();
-        for ci in 0..self.connectors.len() {
-            let conn = ConnId(ci as u32);
-            for &mask in &es.per_conn[ci] {
-                let ir = InteractionRef {
-                    connector: conn,
-                    mask,
-                };
-                if filtering && self.priority.dominated_compiled(self, st, ir, es) {
-                    continue;
-                }
-                self.expand_interaction(st, &self.resolve_ref(ir), out);
-            }
-        }
-        for &c in &self.compiled.internal_comps {
-            for &tid in &es.internal[c] {
-                let mut next = st.clone();
-                self.fire_local(&mut next, c, tid);
-                out.push((
-                    Step::Internal {
-                        component: c,
-                        transition: tid,
-                    },
-                    next,
-                ));
-            }
-        }
+        let mut scratch = self.new_succ_scratch();
+        self.for_each_successor(st, es, &mut scratch, |s, next| {
+            out.push((s.to_step(self), next.clone()));
+        });
     }
 }
 
@@ -1005,33 +982,14 @@ mod tests {
         assert!(!es.comp_dirty[c] && !es.comp_dirty[d]);
     }
 
+    /// The compiled successor path agrees with the legacy interpreter:
+    /// same steps, same states, same order (the order the model checker's
+    /// deterministic replay relies on).
     #[test]
     fn successors_into_matches_successors() {
-        let sys = dining_philosophers(4, true).unwrap();
-        let mut es = sys.new_enabled_set();
-        let mut out = Vec::new();
-        let mut frontier = vec![sys.initial_state()];
-        for _ in 0..3 {
-            let mut next_frontier = Vec::new();
-            for st in &frontier {
-                es.invalidate_all();
-                sys.successors_into(st, &mut es, &mut out);
-                assert_eq!(out, sys.successors(st));
-                next_frontier.extend(out.drain(..).map(|(_, s)| s));
-            }
-            frontier = next_frontier;
-        }
-    }
-
-    /// The allocation-free enumeration yields exactly the successor list of
-    /// `successors_into` — same steps, same states, same order (the order
-    /// the model checker's deterministic replay relies on).
-    #[test]
-    fn for_each_successor_matches_successors_into() {
         for (n, two_phase) in [(3usize, false), (4, true)] {
             let sys = dining_philosophers(n, two_phase).unwrap();
             let mut es = sys.new_enabled_set();
-            let mut scratch = sys.new_succ_scratch();
             let mut out = Vec::new();
             let mut frontier = vec![sys.initial_state()];
             for _ in 0..3 {
@@ -1039,12 +997,7 @@ mod tests {
                 for st in &frontier {
                     es.invalidate_all();
                     sys.successors_into(st, &mut es, &mut out);
-                    let mut streamed: Vec<(Step, State)> = Vec::new();
-                    es.invalidate_all();
-                    sys.for_each_successor(st, &mut es, &mut scratch, |s, next| {
-                        streamed.push((s.to_step(&sys), next.clone()));
-                    });
-                    assert_eq!(out, streamed);
+                    assert_eq!(out, sys.successors(st));
                     next_frontier.extend(out.drain(..).map(|(_, s)| s));
                 }
                 frontier = next_frontier;

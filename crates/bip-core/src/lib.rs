@@ -43,8 +43,8 @@
 //! The legacy enumeration API — [`System::enabled`],
 //! [`System::successors`], [`System::step`] — remains as thin wrappers over
 //! the same machinery (one full refresh per call), so both protocols always
-//! agree; [`System::successors_into`] is the buffer-reusing form the model
-//! checker uses.
+//! agree; [`System::successors_into`] collects the allocation-free
+//! [`System::for_each_successor`] into a reusable buffer.
 //!
 //! # Example
 //!

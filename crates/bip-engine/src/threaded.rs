@@ -28,7 +28,7 @@
 use std::thread;
 
 use bip_core::{EnabledSet, State, StatePred, Step, System, TransitionId, Value};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::engine::{Engine, ExecContext, RunReport, StopReason};
 use crate::policy::{Policy, RandomPolicy};
@@ -91,11 +91,11 @@ impl<P: Policy> ThreadedEngine<P> {
     /// Spawn one thread per component, all at their initial local states.
     pub fn new(sys: System, policy: P) -> ThreadedEngine<P> {
         let n = sys.num_components();
-        let (to_engine, from_comps) = unbounded();
+        let (to_engine, from_comps) = channel();
         let mut to_comps = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for comp in 0..n {
-            let (tx, rx): (Sender<Command>, Receiver<Command>) = unbounded();
+            let (tx, rx): (Sender<Command>, Receiver<Command>) = channel();
             to_comps.push(tx);
             let ty = sys.atom_type(comp).clone();
             let report = to_engine.clone();

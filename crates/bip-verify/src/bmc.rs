@@ -1,7 +1,8 @@
 //! SAT-based bounded model checking over the [`bip_core::sym`] encoding.
 //!
 //! The transition relation is unrolled **incrementally in one persistent
-//! [`satkit::Solver`]**: the clauses of frame `d → d+1` are added once and
+//! [`satkit::Solver`]**, the same init-pinned unrolling the k-induction base
+//! case runs: the clauses of frame `d → d+1` are added once and
 //! stay; the depth-`d` "invariant violated here" goal is guarded by a fresh
 //! per-depth **activation literal** passed to `solve_with` as an assumption.
 //! When the depth-`d` query comes back UNSAT the engine asserts the
@@ -14,8 +15,8 @@
 //! * [`BmcOutcome::Violation`] is **definitive**: the decoded trace is
 //!   replayed step-by-step through the concrete executor
 //!   ([`System::for_each_successor`]) before being reported, so a decode or
-//!   encode bug can surface only as [`BmcError::InvalidTrace`], never as a
-//!   false alarm.
+//!   encode bug can surface only as [`SymCheckError::InvalidTrace`], never
+//!   as a false alarm.
 //! * [`BmcOutcome::NoViolationWithin`] carries an explicit completeness
 //!   caveat: it says nothing about states deeper than the bound.
 //!
@@ -50,9 +51,9 @@
 //! ```
 
 use crate::control::{Budget, CancelToken, StopReason, Wall};
-use bip_core::sym::{StepEncoder, StepVars, SymError, SymFrame};
+use crate::unroll::{SatSettings, Shape, SymCheckError, Unroller};
 use bip_core::{State, StatePred, Step, System};
-use satkit::{CnfBuilder, Lit, RestartPolicy, SolveLimits, SolveResult};
+use satkit::{RestartPolicy, Solver};
 use std::time::Instant;
 
 /// Builder for a bounded model-checking run (mirrors
@@ -61,10 +62,7 @@ use std::time::Instant;
 pub struct BmcConfig<'a> {
     sys: &'a System,
     bound: usize,
-    enum_budget: u64,
-    budget: Budget,
-    cancel: CancelToken,
-    restart_policy: RestartPolicy,
+    settings: SatSettings,
 }
 
 impl<'a> BmcConfig<'a> {
@@ -73,12 +71,7 @@ impl<'a> BmcConfig<'a> {
         BmcConfig {
             sys,
             bound: 10,
-            enum_budget: bip_core::sym::DEFAULT_ENUM_BUDGET,
-            budget: Budget::unlimited(),
-            cancel: CancelToken::new(),
-            // One persistent solver accumulates learnt clauses across
-            // depths, so the hybrid policy's stable (Luby) phases pay off.
-            restart_policy: RestartPolicy::hybrid(),
+            settings: SatSettings::default(),
         }
     }
 
@@ -87,7 +80,7 @@ impl<'a> BmcConfig<'a> {
     /// solver; D-Finder's many short per-seed solves use Luby instead).
     #[must_use]
     pub fn restart_policy(mut self, policy: RestartPolicy) -> BmcConfig<'a> {
-        self.restart_policy = policy;
+        self.settings.restart_policy = policy;
         self
     }
 
@@ -100,10 +93,10 @@ impl<'a> BmcConfig<'a> {
     }
 
     /// Set the encoder's expression-enumeration budget (see
-    /// [`StepEncoder::enum_budget`]).
+    /// [`bip_core::sym::StepEncoder::enum_budget`]).
     #[must_use]
     pub fn enum_budget(mut self, budget: u64) -> BmcConfig<'a> {
-        self.enum_budget = budget;
+        self.settings.enum_budget = budget;
         self
     }
 
@@ -113,7 +106,7 @@ impl<'a> BmcConfig<'a> {
     /// verdict (see [`BmcReport::stop`]) — never a wrong one.
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> BmcConfig<'a> {
-        self.budget = budget;
+        self.settings.budget = budget;
         self
     }
 
@@ -123,7 +116,7 @@ impl<'a> BmcConfig<'a> {
     /// [`StopReason::Cancelled`]).
     #[must_use]
     pub fn cancel(mut self, token: &CancelToken) -> BmcConfig<'a> {
-        self.cancel = token.clone();
+        self.settings.cancel = token.clone();
         self
     }
 
@@ -131,126 +124,40 @@ impl<'a> BmcConfig<'a> {
     ///
     /// # Errors
     ///
-    /// [`BmcError::Encode`] if the system cannot be encoded (unbounded
-    /// variable, enumeration budget); [`BmcError::InvalidTrace`] if a
+    /// [`SymCheckError::Encode`] if the system cannot be encoded (unbounded
+    /// variable, enumeration budget); [`SymCheckError::InvalidTrace`] if a
     /// satisfying model fails concrete replay (an encoder bug — never a
     /// property of the system).
-    pub fn check_invariant(&self, inv: &StatePred) -> Result<BmcReport, BmcError> {
+    pub fn check_invariant(&self, inv: &StatePred) -> Result<BmcReport, SymCheckError> {
         let start = Instant::now();
-        let sys = self.sys;
-        let mut enc = StepEncoder::new(sys)
-            .map_err(BmcError::Encode)?
-            .enum_budget(self.enum_budget);
-        let mut b = CnfBuilder::new();
-        b.solver_mut().set_interrupt(Some(self.cancel.flag()));
-        b.solver_mut().set_restart_policy(self.restart_policy);
-
-        let mut frames: Vec<SymFrame> = vec![enc.new_frame(&mut b)];
-        enc.assert_initial(&mut b, &frames[0]);
-        let mut steps: Vec<StepVars> = Vec::new();
+        let report = |outcome, frames, stop| BmcReport {
+            outcome,
+            frames,
+            stop,
+            elapsed: Wall(start.elapsed()),
+        };
+        let mut u = Unroller::new(self.sys, &self.settings, Shape::Pinned)?;
         let mut stats: Vec<FrameStats> = Vec::new();
 
         for depth in 0..=self.bound {
-            // Budget check between queries: verdicts for depths < `depth`
-            // are already final, so an interrupted report stays sound —
-            // `NoViolationWithin` shrinks to the deepest cleared depth.
-            let interrupted = if self.cancel.is_cancelled() {
-                Some(StopReason::Cancelled)
-            } else if self
-                .budget
-                .deadline
-                .is_some_and(|due| Instant::now() >= due)
-            {
-                Some(StopReason::Deadline)
-            } else if self
-                .budget
-                .max_conflicts
-                .is_some_and(|m| b.solver_mut().conflicts() >= m)
-            {
-                Some(StopReason::SolverBudget)
-            } else {
-                None
+            // Verdicts for depths < `depth` are already final, so an
+            // interrupted report stays sound — `NoViolationWithin` shrinks
+            // to the deepest cleared depth.
+            let cleared = BmcOutcome::NoViolationWithin(depth.saturating_sub(1));
+            if let Some(stop) = u.stop(0) {
+                return Ok(report(cleared, stats, stop));
+            }
+            let act = u.goal(depth, inv)?;
+            let sat = match u.query(&[act], 0) {
+                Ok(sat) => sat,
+                Err(stop) => return Ok(report(cleared, stats, stop)),
             };
-            if let Some(stop) = interrupted {
-                return Ok(BmcReport {
-                    outcome: BmcOutcome::NoViolationWithin(depth.saturating_sub(1)),
-                    frames: stats,
-                    stop,
-                    elapsed: Wall(start.elapsed()),
-                });
-            }
-
-            // Goal: the invariant is violated at this depth — guarded by a
-            // fresh activation literal so it can be retired after the query.
-            let inv_lit = enc
-                .encode_pred(&mut b, &mut frames[depth], inv)
-                .map_err(BmcError::Encode)?;
-            let act = Lit::pos(b.solver_mut().new_var());
-            b.implies(act, !inv_lit);
-
-            // The conflict ceiling is cumulative across the persistent
-            // solver: each query gets whatever the earlier depths left.
-            let limits = match self.budget.max_conflicts {
-                Some(m) => {
-                    SolveLimits::unlimited().conflicts(m.saturating_sub(b.solver_mut().conflicts()))
-                }
-                None => SolveLimits::unlimited(),
-            };
-            let verdict = b.solver_mut().solve_limited(&[act], limits);
-            if verdict == SolveResult::Unknown {
-                let stop = if self.cancel.is_cancelled() {
-                    StopReason::Cancelled
-                } else {
-                    StopReason::SolverBudget
-                };
-                return Ok(BmcReport {
-                    outcome: BmcOutcome::NoViolationWithin(depth.saturating_sub(1)),
-                    frames: stats,
-                    stop,
-                    elapsed: Wall(start.elapsed()),
-                });
-            }
-            let sat = verdict.is_sat();
-            {
-                let s = b.solver_mut();
-                let (tier_core, tier_mid, tier_local) = s.tier_sizes();
-                stats.push(FrameStats {
-                    depth,
-                    vars: s.num_vars(),
-                    clauses: s.num_clauses(),
-                    learnts: s.num_learnts(),
-                    conflicts: s.conflicts(),
-                    decisions: s.decisions(),
-                    propagations: s.propagations(),
-                    avg_lbd_milli: s.avg_lbd_milli(),
-                    tier_core,
-                    tier_mid,
-                    tier_local,
-                });
-            }
+            stats.push(FrameStats::snapshot(depth, u.solver()));
 
             if sat {
-                let model = b.solver_mut().model();
-                let states: Vec<State> = frames
-                    .iter()
-                    .take(depth + 1)
-                    .map(|f| enc.decode_state(f, &model))
-                    .collect();
-                let mut trace = Vec::with_capacity(depth);
-                for sv in steps.iter().take(depth) {
-                    trace.push(enc.decode_step(sv, &model).ok_or_else(|| {
-                        BmcError::InvalidTrace(
-                            "model selects no action in an unrolled frame".into(),
-                        )
-                    })?);
-                }
-                replay(sys, inv, &states, &trace)?;
-                return Ok(BmcReport {
-                    outcome: BmcOutcome::Violation { trace, states },
-                    frames: stats,
-                    stop: StopReason::Completed,
-                    elapsed: Wall(start.elapsed()),
-                });
+                let (trace, states) = u.counterexample(depth, inv)?;
+                let outcome = BmcOutcome::Violation { trace, states };
+                return Ok(report(outcome, stats, StopReason::Completed));
             }
 
             // The depth-d query failed under the single assumption `act`.
@@ -259,70 +166,17 @@ impl<'a> BmcConfig<'a> {
             // `depth` exists at all (every run of the system halts
             // earlier), so no deeper frame is satisfiable either and the
             // full bound is cleared without unrolling further.
-            if b.solver_mut().failed_assumptions().is_empty() {
-                return Ok(BmcReport {
-                    outcome: BmcOutcome::NoViolationWithin(self.bound),
-                    frames: stats,
-                    stop: StopReason::Completed,
-                    elapsed: Wall(start.elapsed()),
-                });
+            if u.solver().failed_assumptions().is_empty() {
+                break;
             }
-
-            // Retire the goal permanently and extend the unrolling.
-            b.assert_lit(!act);
+            u.retire(act);
             if depth < self.bound {
-                let next = enc.new_frame(&mut b);
-                let prev = frames.last_mut().expect("at least frame 0");
-                let sv = enc
-                    .encode_step(&mut b, prev, &next)
-                    .map_err(BmcError::Encode)?;
-                steps.push(sv);
-                frames.push(next);
+                u.extend()?;
             }
         }
 
-        Ok(BmcReport {
-            outcome: BmcOutcome::NoViolationWithin(self.bound),
-            frames: stats,
-            stop: StopReason::Completed,
-            elapsed: Wall(start.elapsed()),
-        })
-    }
-}
-
-/// Why a BMC run failed (as opposed to returning a verdict).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BmcError {
-    /// The system could not be encoded to CNF (see [`SymError`]).
-    Encode(SymError),
-    /// A satisfying model did not replay on the concrete executor. This is
-    /// diagnostic of an encoder/decoder bug; it is never a system property.
-    InvalidTrace(String),
-}
-
-impl std::fmt::Display for BmcError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BmcError::Encode(e) => write!(f, "bmc: {e}"),
-            BmcError::InvalidTrace(msg) => {
-                write!(f, "bmc: counterexample failed concrete replay: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BmcError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BmcError::Encode(e) => Some(e),
-            BmcError::InvalidTrace(_) => None,
-        }
-    }
-}
-
-impl From<SymError> for BmcError {
-    fn from(e: SymError) -> BmcError {
-        BmcError::Encode(e)
+        let outcome = BmcOutcome::NoViolationWithin(self.bound);
+        Ok(report(outcome, stats, StopReason::Completed))
     }
 }
 
@@ -354,6 +208,25 @@ pub struct FrameStats {
     pub tier_mid: usize,
     /// Learnt clauses in the Local tier (the reduction pool).
     pub tier_local: usize,
+}
+
+impl FrameStats {
+    fn snapshot(depth: usize, s: &Solver) -> FrameStats {
+        let (tier_core, tier_mid, tier_local) = s.tier_sizes();
+        FrameStats {
+            depth,
+            vars: s.num_vars(),
+            clauses: s.num_clauses(),
+            learnts: s.num_learnts(),
+            conflicts: s.conflicts(),
+            decisions: s.decisions(),
+            propagations: s.propagations(),
+            avg_lbd_milli: s.avg_lbd_milli(),
+            tier_core,
+            tier_mid,
+            tier_local,
+        }
+    }
 }
 
 /// Verdict of a bounded model-checking run.
@@ -406,52 +279,6 @@ impl BmcReport {
             BmcOutcome::NoViolationWithin(_) => None,
         }
     }
-}
-
-/// Validate a decoded counterexample against the concrete semantics: every
-/// `(state, step, state)` triple must be an actual transition enumerated by
-/// `for_each_successor`, and the final state must violate the invariant.
-/// Shared with [`crate::kind`], whose base case decodes identical traces.
-pub(crate) fn replay(
-    sys: &System,
-    inv: &StatePred,
-    states: &[State],
-    trace: &[Step],
-) -> Result<(), BmcError> {
-    if states.len() != trace.len() + 1 {
-        return Err(BmcError::InvalidTrace(format!(
-            "{} states for {} steps",
-            states.len(),
-            trace.len()
-        )));
-    }
-    if states[0] != sys.initial_state() {
-        return Err(BmcError::InvalidTrace(
-            "frame 0 does not decode to the initial state".into(),
-        ));
-    }
-    let mut es = sys.new_enabled_set();
-    let mut scratch = sys.new_succ_scratch();
-    for (i, step) in trace.iter().enumerate() {
-        let mut matched = false;
-        es.invalidate_all();
-        sys.for_each_successor(&states[i], &mut es, &mut scratch, |s, next| {
-            if !matched && next == &states[i + 1] && &s.to_step(sys) == step {
-                matched = true;
-            }
-        });
-        if !matched {
-            return Err(BmcError::InvalidTrace(format!(
-                "step {i} is not a concrete transition between the decoded states"
-            )));
-        }
-    }
-    if inv.eval(sys, states.last().expect("non-empty")) {
-        return Err(BmcError::InvalidTrace(
-            "final state does not violate the invariant".into(),
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -580,7 +407,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            BmcError::Encode(SymError::UnboundedVar { .. })
+            SymCheckError::Encode(bip_core::sym::SymError::UnboundedVar { .. })
         ));
         assert!(err.to_string().contains("no finite bound"));
     }

@@ -6,18 +6,19 @@
 //! persistent [`satkit::Solver`]s in lock-step, one per side of the
 //! induction:
 //!
-//! * the **base** solver is exactly BMC's incremental unrolling — frame 0
-//!   pinned to the initial state, frames chained by the transition relation,
-//!   the depth-`k` "invariant violated here" goal guarded by a per-depth
-//!   activation literal and retired after each UNSAT answer;
+//! * the **base** solver is BMC's incremental unrolling, built by the same
+//!   code — frame 0 pinned to the initial state, frames chained by the
+//!   transition relation, the depth-`k` "invariant violated here" goal
+//!   guarded by a per-depth activation literal and retired after each UNSAT
+//!   answer;
 //! * the **step** solver unrolls the same relation over *arbitrary* frames
 //!   (no initial-state constraint). A per-frame assumption literal `p_i`
 //!   asserts the invariant at frame `i`; the iteration-`k` query asks for a
 //!   model where the invariant holds on frames `0..=k` but fails at `k+1`,
 //!   under **simple-path constraints**: every pair of frames is pairwise
 //!   distinct, encoded bitwise over the packed state bits
-//!   ([`StepEncoder::assert_frames_distinct`]) and added incrementally as
-//!   each new frame arrives.
+//!   ([`bip_core::sym::StepEncoder::assert_frames_distinct`]) and added
+//!   incrementally as each new frame arrives.
 //!
 //! When the base query at depth `k` is UNSAT (no reachable violation within
 //! `k` steps) and the step query at `k` is UNSAT (no transition path of
@@ -46,11 +47,10 @@
 //!   are search-dependent, and using them (as BMC's empty-core early exit
 //!   does) would break bit-reproducibility across policies.
 
-use crate::bmc::{replay, BmcError};
 use crate::control::{Budget, CancelToken, StopReason, Wall};
-use bip_core::sym::{StepEncoder, StepVars, SymError, SymFrame};
+use crate::unroll::{SatSettings, Shape, SymCheckError, Unroller};
 use bip_core::{State, StatePred, Step, System};
-use satkit::{CnfBuilder, Lit, RestartPolicy, SolveLimits, SolveResult};
+use satkit::{Lit, RestartPolicy, Solver};
 use std::time::Instant;
 
 /// Builder for a k-induction proof run (mirrors [`crate::bmc::BmcConfig`]).
@@ -58,10 +58,7 @@ use std::time::Instant;
 pub struct KindConfig<'a> {
     sys: &'a System,
     max_k: usize,
-    enum_budget: u64,
-    budget: Budget,
-    cancel: CancelToken,
-    restart_policy: RestartPolicy,
+    settings: SatSettings,
 }
 
 impl<'a> KindConfig<'a> {
@@ -70,10 +67,7 @@ impl<'a> KindConfig<'a> {
         KindConfig {
             sys,
             max_k: 64,
-            enum_budget: bip_core::sym::DEFAULT_ENUM_BUDGET,
-            budget: Budget::unlimited(),
-            cancel: CancelToken::new(),
-            restart_policy: RestartPolicy::hybrid(),
+            settings: SatSettings::default(),
         }
     }
 
@@ -86,10 +80,10 @@ impl<'a> KindConfig<'a> {
     }
 
     /// Set the encoder's expression-enumeration budget (see
-    /// [`StepEncoder::enum_budget`]).
+    /// [`bip_core::sym::StepEncoder::enum_budget`]).
     #[must_use]
     pub fn enum_budget(mut self, budget: u64) -> KindConfig<'a> {
-        self.enum_budget = budget;
+        self.settings.enum_budget = budget;
         self
     }
 
@@ -98,7 +92,7 @@ impl<'a> KindConfig<'a> {
     /// policy; only the [`KindStats`] diagnostics move.
     #[must_use]
     pub fn restart_policy(mut self, policy: RestartPolicy) -> KindConfig<'a> {
-        self.restart_policy = policy;
+        self.settings.restart_policy = policy;
         self
     }
 
@@ -108,7 +102,7 @@ impl<'a> KindConfig<'a> {
     /// wrong verdict.
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> KindConfig<'a> {
-        self.budget = budget;
+        self.settings.budget = budget;
         self
     }
 
@@ -117,13 +111,8 @@ impl<'a> KindConfig<'a> {
     /// query short.
     #[must_use]
     pub fn cancel(mut self, token: &CancelToken) -> KindConfig<'a> {
-        self.cancel = token.clone();
+        self.settings.cancel = token.clone();
         self
-    }
-
-    /// Total conflicts spent so far across the two persistent solvers.
-    fn spent(base: &mut CnfBuilder, step: &mut CnfBuilder) -> u64 {
-        base.solver_mut().conflicts() + step.solver_mut().conflicts()
     }
 
     /// Prove that `inv` holds on every reachable state, refute it with a
@@ -131,261 +120,88 @@ impl<'a> KindConfig<'a> {
     ///
     /// # Errors
     ///
-    /// [`KindError::Encode`] if the system cannot be encoded (unbounded
-    /// variable, enumeration budget); [`KindError::InvalidTrace`] if a base
-    /// model fails concrete replay (an encoder bug — never a property of
-    /// the system).
-    pub fn prove(&self, inv: &StatePred) -> Result<ProofReport, KindError> {
+    /// [`SymCheckError::Encode`] if the system cannot be encoded (unbounded
+    /// variable, enumeration budget); [`SymCheckError::InvalidTrace`] if a
+    /// base model fails concrete replay (an encoder bug — never a property
+    /// of the system).
+    pub fn prove(&self, inv: &StatePred) -> Result<ProofReport, SymCheckError> {
         let start = Instant::now();
-        let sys = self.sys;
-        let mut enc = StepEncoder::new(sys)
-            .map_err(KindError::Encode)?
-            .enum_budget(self.enum_budget);
-        // The step side drives its own solver: fork the encoder so neither
-        // side's cached literals leak into the other's variable space.
-        let mut senc = enc.fork();
+        let mut base = Unroller::new(self.sys, &self.settings, Shape::Pinned)?;
+        let mut step = base.fork(Shape::SimplePath);
+        let (verdict, core_frames) = self.induct(inv, &mut base, &mut step)?;
+        let stop = match verdict {
+            Verdict::Unknown(stop) => stop,
+            _ => StopReason::Completed,
+        };
+        Ok(ProofReport {
+            verdict,
+            stop,
+            stats: KindStats::collect(base.solver(), step.solver(), core_frames),
+            elapsed: Wall(start.elapsed()),
+        })
+    }
 
-        let mut bb = CnfBuilder::new();
-        bb.solver_mut().set_interrupt(Some(self.cancel.flag()));
-        bb.solver_mut().set_restart_policy(self.restart_policy);
-        let mut bframes: Vec<SymFrame> = vec![enc.new_frame(&mut bb)];
-        enc.assert_initial(&mut bb, &bframes[0]);
-        let mut bsteps: Vec<StepVars> = Vec::new();
-
-        let mut sb = CnfBuilder::new();
-        sb.solver_mut().set_interrupt(Some(self.cancel.flag()));
-        sb.solver_mut().set_restart_policy(self.restart_policy);
-        // Step frames are *not* pinned to the initial state: they quantify
-        // over arbitrary in-domain states.
-        let mut sframes: Vec<SymFrame> = vec![senc.new_frame(&mut sb)];
+    /// The lock-step loop of [`KindConfig::prove`]: its verdict, plus the
+    /// [`KindStats::core_frames`] diagnostic of a proof.
+    fn induct(
+        &self,
+        inv: &StatePred,
+        base: &mut Unroller,
+        step: &mut Unroller,
+    ) -> Result<(Verdict, usize), SymCheckError> {
         // `p_lits[i]` assumes the invariant at step frame `i`.
         let mut p_lits: Vec<Lit> = Vec::new();
-
-        let report = |verdict: Verdict,
-                      stop: StopReason,
-                      core_frames: usize,
-                      bb: &mut CnfBuilder,
-                      sb: &mut CnfBuilder| {
-            let stats = KindStats::collect(bb, sb, core_frames);
-            ProofReport {
-                verdict,
-                stop,
-                stats,
-                elapsed: Wall(start.elapsed()),
-            }
-        };
-
         for k in 0..=self.max_k {
             // Resource check between queries: any verdict already computed
             // is final, so stopping here is always sound.
-            let interrupted = if self.cancel.is_cancelled() {
-                Some(StopReason::Cancelled)
-            } else if self
-                .budget
-                .deadline
-                .is_some_and(|due| Instant::now() >= due)
-            {
-                Some(StopReason::Deadline)
-            } else if self
-                .budget
-                .max_conflicts
-                .is_some_and(|m| Self::spent(&mut bb, &mut sb) >= m)
-            {
-                Some(StopReason::SolverBudget)
-            } else {
-                None
-            };
-            if let Some(stop) = interrupted {
-                return Ok(report(Verdict::Unknown(stop), stop, 0, &mut bb, &mut sb));
+            if let Some(stop) = base.stop(step.solver().conflicts()) {
+                return Ok((Verdict::Unknown(stop), 0));
             }
 
             // ---- base case: no reachable violation at depth k ----------
-            let inv_lit = enc
-                .encode_pred(&mut bb, &mut bframes[k], inv)
-                .map_err(KindError::Encode)?;
-            let act = Lit::pos(bb.solver_mut().new_var());
-            bb.implies(act, !inv_lit);
-            let limits = self.limits(&mut bb, &mut sb);
-            let verdict = bb.solver_mut().solve_limited(&[act], limits);
-            match verdict {
-                SolveResult::Unknown => {
-                    let stop = self.unknown_reason();
-                    return Ok(report(Verdict::Unknown(stop), stop, 0, &mut bb, &mut sb));
+            let act = base.goal(k, inv)?;
+            match base.query(&[act], step.solver().conflicts()) {
+                Err(stop) => return Ok((Verdict::Unknown(stop), 0)),
+                Ok(true) => {
+                    let (trace, states) = base.counterexample(k, inv)?;
+                    return Ok((Verdict::Violated { trace, states }, 0));
                 }
-                SolveResult::Sat => {
-                    let model = bb.solver_mut().model();
-                    let states: Vec<State> = bframes
-                        .iter()
-                        .take(k + 1)
-                        .map(|f| enc.decode_state(f, &model))
-                        .collect();
-                    let mut trace = Vec::with_capacity(k);
-                    for sv in bsteps.iter().take(k) {
-                        trace.push(enc.decode_step(sv, &model).ok_or_else(|| {
-                            KindError::InvalidTrace(
-                                "model selects no action in an unrolled frame".into(),
-                            )
-                        })?);
-                    }
-                    replay(sys, inv, &states, &trace).map_err(KindError::from_bmc)?;
-                    return Ok(report(
-                        Verdict::Violated { trace, states },
-                        StopReason::Completed,
-                        0,
-                        &mut bb,
-                        &mut sb,
-                    ));
-                }
-                SolveResult::Unsat => {
-                    // Retire the goal. Unlike BMC, do NOT inspect the failed
-                    // assumptions for an empty-core early exit: core
-                    // emptiness is search-dependent, and the step side below
-                    // proves terminating systems deterministically anyway
-                    // (no (k+2)-state simple path exists ⇒ step UNSAT).
-                    bb.assert_lit(!act);
+                // Retire the goal. Unlike BMC, do NOT inspect the failed
+                // assumptions for an empty-core early exit: core emptiness
+                // is search-dependent, and the step side below proves
+                // terminating systems deterministically anyway (no (k+2)-
+                // state simple path exists ⇒ step UNSAT).
+                Ok(false) => {
+                    base.retire(act);
                     if k < self.max_k {
-                        let next = enc.new_frame(&mut bb);
-                        let prev = bframes.last_mut().expect("at least frame 0");
-                        let sv = enc
-                            .encode_step(&mut bb, prev, &next)
-                            .map_err(KindError::Encode)?;
-                        bsteps.push(sv);
-                        bframes.push(next);
+                        base.extend()?;
                     }
                 }
             }
 
             // ---- inductive step: inv on frames 0..=k, ¬inv at k + 1 ----
-            // Extend the step unrolling to frame k + 1, pairwise-distinct
-            // from every earlier frame (simple-path constraints).
-            {
-                let next = senc.new_frame(&mut sb);
-                let prev = sframes.last_mut().expect("at least frame 0");
-                senc.encode_step(&mut sb, prev, &next)
-                    .map_err(KindError::Encode)?;
-                for earlier in &sframes {
-                    senc.assert_frames_distinct(&mut sb, earlier, &next);
-                }
-                sframes.push(next);
-            }
-            // Assumption literal for "inv holds at frame k".
-            let inv_k = senc
-                .encode_pred(&mut sb, &mut sframes[k], inv)
-                .map_err(KindError::Encode)?;
-            let p = Lit::pos(sb.solver_mut().new_var());
-            sb.implies(p, inv_k);
-            p_lits.push(p);
-            // Goal: inv fails at frame k + 1, guarded for later retirement.
-            let inv_next = senc
-                .encode_pred(&mut sb, &mut sframes[k + 1], inv)
-                .map_err(KindError::Encode)?;
-            let act_s = Lit::pos(sb.solver_mut().new_var());
-            sb.implies(act_s, !inv_next);
-
+            step.extend()?;
+            p_lits.push(step.holds(k, inv)?);
+            let act = step.goal(k + 1, inv)?;
             let mut assumptions = p_lits.clone();
-            assumptions.push(act_s);
-            let limits = self.limits(&mut bb, &mut sb);
-            let verdict = sb.solver_mut().solve_limited(&assumptions, limits);
-            match verdict {
-                SolveResult::Unknown => {
-                    let stop = self.unknown_reason();
-                    return Ok(report(Verdict::Unknown(stop), stop, 0, &mut bb, &mut sb));
-                }
-                SolveResult::Unsat => {
-                    // Base cleared depths 0..=k and no simple path carries
-                    // the invariant over k + 1 frames into a violation:
-                    // proved. The core is a diagnostic only (see module
-                    // docs) — count how many frame assumptions it used.
-                    let core = sb.solver_mut().failed_assumptions().to_vec();
+            assumptions.push(act);
+            match step.query(&assumptions, base.solver().conflicts()) {
+                Err(stop) => return Ok((Verdict::Unknown(stop), 0)),
+                // Base cleared depths 0..=k and no simple path carries the
+                // invariant over k + 1 frames into a violation: proved. The
+                // core is a diagnostic only (see module docs) — count how
+                // many frame assumptions it used.
+                Ok(false) => {
+                    let core = step.solver().failed_assumptions();
                     let core_frames = core.iter().filter(|l| p_lits.contains(l)).count();
-                    return Ok(report(
-                        Verdict::Proved { k },
-                        StopReason::Completed,
-                        core_frames,
-                        &mut bb,
-                        &mut sb,
-                    ));
+                    return Ok((Verdict::Proved { k }, core_frames));
                 }
-                SolveResult::Sat => {
-                    // A counterexample-to-induction exists at this depth;
-                    // retire the goal and deepen.
-                    sb.assert_lit(!act_s);
-                }
+                // A counterexample-to-induction exists at this depth;
+                // retire the goal and deepen.
+                Ok(true) => step.retire(act),
             }
         }
-
-        Ok(report(
-            Verdict::Unknown(StopReason::BoundExhausted),
-            StopReason::BoundExhausted,
-            0,
-            &mut bb,
-            &mut sb,
-        ))
-    }
-
-    /// Per-query conflict allowance: whatever the cumulative ceiling leaves
-    /// after both solvers' spending so far.
-    fn limits(&self, base: &mut CnfBuilder, step: &mut CnfBuilder) -> SolveLimits {
-        match self.budget.max_conflicts {
-            Some(m) => {
-                SolveLimits::unlimited().conflicts(m.saturating_sub(Self::spent(base, step)))
-            }
-            None => SolveLimits::unlimited(),
-        }
-    }
-
-    /// Why a query came back unknown.
-    fn unknown_reason(&self) -> StopReason {
-        if self.cancel.is_cancelled() {
-            StopReason::Cancelled
-        } else {
-            StopReason::SolverBudget
-        }
-    }
-}
-
-/// Why a k-induction run failed (as opposed to returning a verdict).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KindError {
-    /// The system could not be encoded to CNF (see [`SymError`]).
-    Encode(SymError),
-    /// A base-case model did not replay on the concrete executor. This is
-    /// diagnostic of an encoder/decoder bug; it is never a system property.
-    InvalidTrace(String),
-}
-
-impl KindError {
-    fn from_bmc(e: BmcError) -> KindError {
-        match e {
-            BmcError::Encode(x) => KindError::Encode(x),
-            BmcError::InvalidTrace(m) => KindError::InvalidTrace(m),
-        }
-    }
-}
-
-impl std::fmt::Display for KindError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KindError::Encode(e) => write!(f, "kind: {e}"),
-            KindError::InvalidTrace(msg) => {
-                write!(f, "kind: counterexample failed concrete replay: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for KindError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            KindError::Encode(e) => Some(e),
-            KindError::InvalidTrace(_) => None,
-        }
-    }
-}
-
-impl From<SymError> for KindError {
-    fn from(e: SymError) -> KindError {
-        KindError::Encode(e)
+        Ok((Verdict::Unknown(StopReason::BoundExhausted), 0))
     }
 }
 
@@ -453,18 +269,13 @@ pub struct KindStats {
 }
 
 impl KindStats {
-    fn collect(base: &mut CnfBuilder, step: &mut CnfBuilder, core_frames: usize) -> KindStats {
-        let b = base.solver_mut();
-        let (base_conflicts, base_decisions, base_propagations) =
-            (b.conflicts(), b.decisions(), b.propagations());
-        let (base_vars, base_clauses) = (b.num_vars(), b.num_clauses());
-        let s = step.solver_mut();
+    fn collect(b: &Solver, s: &Solver, core_frames: usize) -> KindStats {
         KindStats {
-            base_conflicts,
-            base_decisions,
-            base_propagations,
-            base_vars,
-            base_clauses,
+            base_conflicts: b.conflicts(),
+            base_decisions: b.decisions(),
+            base_propagations: b.propagations(),
+            base_vars: b.num_vars(),
+            base_clauses: b.num_clauses(),
             step_conflicts: s.conflicts(),
             step_decisions: s.decisions(),
             step_propagations: s.propagations(),
@@ -516,47 +327,33 @@ impl ProofReport {
 
 /// Re-derive the inductive step of a [`Verdict::Proved`]`{ k }` verdict in a
 /// **fresh** solver sharing no state with the prover: unroll `k + 2`
-/// pairwise-distinct frames, assert the invariant on frames `0..=k` and its
+/// pairwise-distinct frames, assume the invariant on frames `0..=k` and its
 /// negation at `k + 1`, and return whether the formula is unsatisfiable.
 /// Together with an independent base check (BMC `NoViolationWithin(k)` or
 /// explicit search to depth `k`) this is a complete proof certificate check.
 ///
 /// # Errors
 ///
-/// [`KindError::Encode`] if the system cannot be encoded.
+/// [`SymCheckError::Encode`] if the system cannot be encoded.
 pub fn certify_step(
     sys: &System,
     inv: &StatePred,
     k: usize,
     enum_budget: u64,
-) -> Result<bool, KindError> {
-    let mut enc = StepEncoder::new(sys)
-        .map_err(KindError::Encode)?
-        .enum_budget(enum_budget);
-    let mut b = CnfBuilder::new();
-    let mut frames: Vec<SymFrame> = vec![enc.new_frame(&mut b)];
+) -> Result<bool, SymCheckError> {
+    let settings = SatSettings {
+        enum_budget,
+        ..SatSettings::default()
+    };
+    let mut u = Unroller::new(sys, &settings, Shape::SimplePath)?;
     for _ in 0..=k {
-        let next = enc.new_frame(&mut b);
-        let prev = frames.last_mut().expect("at least frame 0");
-        enc.encode_step(&mut b, prev, &next)
-            .map_err(KindError::Encode)?;
-        for earlier in &frames {
-            enc.assert_frames_distinct(&mut b, earlier, &next);
-        }
-        frames.push(next);
+        u.extend()?;
     }
-    for frame in frames.iter_mut().take(k + 1) {
-        let l = enc
-            .encode_pred(&mut b, frame, inv)
-            .map_err(KindError::Encode)?;
-        b.assert_lit(l);
-    }
-    let last = frames.len() - 1;
-    let l = enc
-        .encode_pred(&mut b, &mut frames[last], inv)
-        .map_err(KindError::Encode)?;
-    b.assert_lit(!l);
-    Ok(b.solver_mut().solve().is_unsat())
+    let mut assumptions = (0..=k)
+        .map(|d| u.holds(d, inv))
+        .collect::<Result<Vec<Lit>, _>>()?;
+    assumptions.push(u.goal(k + 1, inv)?);
+    Ok(u.query(&assumptions, 0) == Ok(false))
 }
 
 #[cfg(test)]
@@ -627,16 +424,21 @@ mod tests {
 
     #[test]
     fn adjacent_mutex_is_proved_and_certified() {
-        let sys = dining_philosophers(3, false).unwrap();
-        let inv = adjacent_mutex(3);
-        let r = KindConfig::new(&sys).prove(&inv).unwrap();
-        let Verdict::Proved { k } = r.verdict else {
-            panic!("expected a proof, got {:?}", r.verdict);
-        };
-        // Certificate: fresh-solver inductive step + independent base.
-        assert!(certify_step(&sys, &inv, k, 4096).unwrap());
-        let base = BmcConfig::new(&sys).bound(k).check_invariant(&inv).unwrap();
-        assert_eq!(base.outcome, BmcOutcome::NoViolationWithin(k));
+        for (n, expect_k) in [(3, 1), (4, 2), (5, 3), (6, 5)] {
+            let sys = dining_philosophers(n, false).unwrap();
+            let inv = adjacent_mutex(n);
+            let r = KindConfig::new(&sys).prove(&inv).unwrap();
+            assert_eq!(r.verdict, Verdict::Proved { k: expect_k }, "n = {n}");
+            // Certificate: fresh-solver inductive step + independent base.
+            // The step is not vacuous: one frame fewer admits a CTI.
+            assert!(certify_step(&sys, &inv, expect_k, 4096).unwrap());
+            assert!(!certify_step(&sys, &inv, expect_k - 1, 4096).unwrap());
+            let base = BmcConfig::new(&sys)
+                .bound(expect_k)
+                .check_invariant(&inv)
+                .unwrap();
+            assert_eq!(base.outcome, BmcOutcome::NoViolationWithin(expect_k));
+        }
     }
 
     #[test]
@@ -704,7 +506,7 @@ mod tests {
         let err = KindConfig::new(&sys).prove(&StatePred::True).unwrap_err();
         assert!(matches!(
             err,
-            KindError::Encode(SymError::UnboundedVar { .. })
+            SymCheckError::Encode(bip_core::sym::SymError::UnboundedVar { .. })
         ));
         assert!(err.to_string().contains("no finite bound"));
     }

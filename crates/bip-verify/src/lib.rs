@@ -77,13 +77,14 @@ pub mod equiv;
 pub mod incremental;
 pub mod kind;
 pub mod reach;
+mod unroll;
 
-pub use bmc::{BmcConfig, BmcError, BmcOutcome, BmcReport};
+pub use bmc::{BmcConfig, BmcOutcome, BmcReport};
 pub use control::{Budget, CancelToken, StopReason, Wall};
 pub use dfinder::{DFinder, DFinderConfig, DFinderReport, Verdict};
 pub use equiv::{refines, refines_with, weak_trace_equivalent, RefinementReport};
 pub use incremental::{IncrementalVerifier, InvariantOutcome};
-pub use kind::{certify_step, KindConfig, KindError, KindStats, ProofReport};
+pub use kind::{certify_step, KindConfig, KindStats, ProofReport};
 // `dfinder::Verdict` already owns the unqualified name; the proof verdict is
 // re-exported under an unambiguous alias (or use `kind::Verdict` directly).
 pub use kind::Verdict as ProofVerdict;
@@ -92,3 +93,4 @@ pub use reach::{
     explore_with, find_deadlock, find_deadlock_resume, find_deadlock_with, CodecMode,
     DeadlockReport, InvariantReport, ReachCheckpoint, ReachConfig, ReachReport, Reduction,
 };
+pub use unroll::SymCheckError;

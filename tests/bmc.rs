@@ -18,13 +18,14 @@
 //!   reports a violation whose trace has exactly `ℓ` steps (BMC scans depths
 //!   in order, so it must find the shortest witness);
 //! * declined systems decline *loudly* — when the width analysis cannot
-//!   bound a variable the BMC returns `BmcError::Encode(UnboundedVar)`, never
-//!   a silently-truncated verdict.
+//!   bound a variable the BMC returns `SymCheckError::Encode(UnboundedVar)`,
+//!   never a silently-truncated verdict.
 
 use bip_core::{dining_philosophers, StatePred};
-use bip_verify::bmc::{BmcConfig, BmcError, BmcOutcome};
+use bip_verify::bmc::{BmcConfig, BmcOutcome};
 use bip_verify::reach::{check_invariant_with, ReachConfig, Reduction};
 use bip_verify::BmcReport;
+use bip_verify::SymCheckError;
 use proptest::prelude::*;
 
 mod common;
@@ -84,7 +85,7 @@ fn check_agreement(seed: u64) -> Result<(), String> {
         // The encoder may decline (unbounded variable / support too large);
         // that must be a typed decline, and then there is nothing to compare.
         match e {
-            BmcError::Encode(_) => return Ok(()),
+            SymCheckError::Encode(_) => return Ok(()),
             other => return Err(format!("seed {seed}: unexpected BMC error {other}")),
         }
     }

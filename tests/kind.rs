@@ -23,8 +23,9 @@
 use bip_core::{dining_philosophers, StatePred, System};
 use bip_verify::bmc::{BmcConfig, BmcOutcome};
 use bip_verify::control::Budget;
-use bip_verify::kind::{certify_step, KindConfig, KindError, Verdict};
+use bip_verify::kind::{certify_step, KindConfig, Verdict};
 use bip_verify::reach::{check_invariant_with, ReachConfig};
+use bip_verify::SymCheckError;
 use proptest::prelude::*;
 use satkit::RestartPolicy;
 
@@ -97,7 +98,7 @@ fn check_agreement(seed: u64) -> Result<(), String> {
         Ok(r) => r,
         // The encoder may decline (unbounded variable / support too large);
         // that must be a typed decline, and then there is nothing to compare.
-        Err(KindError::Encode(_)) => return Ok(()),
+        Err(SymCheckError::Encode(_)) => return Ok(()),
         Err(other) => return Err(format!("seed {seed}: unexpected kind error {other}")),
     };
 
@@ -346,4 +347,36 @@ fn guard_bounded_counter_at_limit_100_proves() {
     let (trace, states) = r.violation().expect("n reaches 51");
     assert_eq!(trace.len(), 51);
     independent_replay(&sys, &false_inv, trace, states).unwrap();
+}
+
+/// The k-induction base solver *is* BMC's unrolling: on the two-phase
+/// philosophers, whose all-`hasL` deadlock sits at depth `n`, the base
+/// solver that found the violation ends with exactly the variables,
+/// clauses and conflicts of BMC's last queried frame.
+#[test]
+fn base_case_is_bmc_solver_for_solver() {
+    for n in 2..=6 {
+        let sys = dining_philosophers(n, true).unwrap();
+        let inv = StatePred::Not(Box::new(StatePred::And(
+            (0..n).map(|i| StatePred::AtLoc(i, 1)).collect(),
+        )));
+        let kind = KindConfig::new(&sys).prove(&inv).unwrap();
+        let (trace, _) = kind.violation().expect("all-hasL is reachable");
+        assert_eq!(trace.len(), n);
+        let bmc = BmcConfig::new(&sys)
+            .bound(n + 2)
+            .check_invariant(&inv)
+            .unwrap();
+        let last = bmc.frames.last().expect("BMC queried some depth");
+        assert_eq!(last.depth, n);
+        assert_eq!(
+            (
+                kind.stats.base_vars,
+                kind.stats.base_clauses,
+                kind.stats.base_conflicts
+            ),
+            (last.vars, last.clauses, last.conflicts),
+            "n = {n}"
+        );
+    }
 }
